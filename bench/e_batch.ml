@@ -1,4 +1,4 @@
-(* E22 — seed-batched lockstep execution and intra-run sharding.
+(* E22 — seed-batched execution and intra-run sharding.
 
    Two throughput claims go into BENCH_batch.json:
 
@@ -9,6 +9,10 @@
       batch degenerate to ONE execution plus S-1 replications, so
       seeds/sec grows nearly linearly in S; the perf gate requires
       >= 2x at S=64 vs the measured S=1 baseline of the same run.
+      Cells that cannot collapse (randomized family, drawing algorithm,
+      faults) run every lane as a plain [Scenario.run]; their rows
+      report the batch's seeds/sec next to S sequential runs', so the
+      unfavourable side of the claim is recorded too.
 
    2. Intra-run sharding: [Scenario.run ~shards:N] spreads the
       per-robot route-computation pass over a domain team with a
@@ -30,8 +34,8 @@ let report_path = "BENCH_batch.json"
 let nominal_n = 4000
 
 (* (family, depth_hint) — all three are deterministic families, so the
-   batched rows exercise the shared-world and collapse tiers; the
-   determinism lane below covers the randomized ones. *)
+   batched rows exercise the collapse; the non-collapsing rows and the
+   determinism lane below cover the other shapes. *)
 let families = [ ("binary", 12); ("comb", 60); ("spider", 30) ]
 let ks = [ 64; 512 ]
 let batch_sizes = [ 1; 8; 64 ]
@@ -55,11 +59,9 @@ let min_total () =
 let exec t =
   if t.Scenario.batch_seeds = 1 then begin
     ignore (Scenario.run t : Scenario.outcome);
-    (false, false)
+    false
   end
-  else
-    let r = Seed_batch.run t in
-    (r.Seed_batch.collapsed, r.Seed_batch.shared_world)
+  else (Seed_batch.run t).Seed_batch.collapsed
 
 type row = {
   b_family : string;
@@ -68,29 +70,26 @@ type row = {
   b_wall : float; (* seconds per batch execution *)
   b_seeds_s : float;
   b_collapsed : bool;
-  b_shared : bool;
   mutable b_speedup : float; (* seeds/s vs the S=1 row of the same cell *)
 }
 
 let measure family k s =
   let t = spec ~batch_seeds:s family k in
-  let flags = ref (exec t) (* warm: page in the generator and stats *) in
+  let collapsed = ref (exec t) (* warm: page in the generator and stats *) in
   let t0 = Batch.now () in
   let reps = ref 0 in
   while Batch.now () -. t0 < min_total () || !reps = 0 do
-    flags := exec t;
+    collapsed := exec t;
     incr reps
   done;
   let wall = (Batch.now () -. t0) /. float_of_int !reps in
-  let collapsed, shared = !flags in
   {
     b_family = family;
     b_k = k;
     b_s = s;
     b_wall = wall;
     b_seeds_s = float_of_int s /. Float.max 1e-9 wall;
-    b_collapsed = collapsed;
-    b_shared = shared;
+    b_collapsed = !collapsed;
     b_speedup = 1.0;
   }
 
@@ -101,6 +100,66 @@ let measure_cell family k =
   in
   List.iter (fun r -> r.b_speedup <- r.b_seeds_s /. Float.max 1e-9 base) rows;
   rows
+
+(* ---- cells that cannot collapse: batch vs S sequential runs ---- *)
+
+let nc_batch = 8
+let nc_k = 64
+
+let non_collapsing () =
+  let w family dh =
+    Scenario.world
+      ~params:
+        [ ("depth_hint", Param.Int dh); ("n", Param.Int (sized nominal_n)) ]
+      family
+  in
+  [
+    ("random/bfdn", Scenario.make ~algo:"bfdn" ~k:nc_k ~seed (w "random" 12));
+    ( "binary/random-walk",
+      Scenario.make ~algo:"random-walk" ~k:nc_k ~seed (w "binary" 12) );
+    ( "binary/bfdn+faults",
+      Scenario.make ~algo:"bfdn"
+        ~algo_params:[ ("fault_tolerant", Param.Bool true) ]
+        ~faults:[ ("rate", Param.Float 0.05); ("restart", Param.Int 9) ]
+        ~k:nc_k ~seed (w "binary" 12) );
+  ]
+
+type nc_row = {
+  n_label : string;
+  n_batch_seeds_s : float;
+  n_seq_seeds_s : float;
+  n_collapsed : bool;
+}
+
+(* The batch and its S plain runs alternate, so a drift in machine speed
+   hits both sides alike. *)
+let measure_non_collapsing (label, plain) =
+  let t = { plain with Scenario.batch_seeds = nc_batch } in
+  let lanes = List.init nc_batch (Scenario.unbatch t) in
+  let collapsed = exec t in
+  let batch_s = ref 0. and seq_s = ref 0. and reps = ref 0 in
+  let timed f =
+    let t0 = Batch.now () in
+    f ();
+    Batch.now () -. t0
+  in
+  while !batch_s +. !seq_s < 2. *. min_total () || !reps = 0 do
+    batch_s := !batch_s +. timed (fun () -> ignore (exec t : bool));
+    seq_s :=
+      !seq_s
+      +. timed (fun () ->
+             List.iter
+               (fun l -> ignore (Scenario.run l : Scenario.outcome))
+               lanes);
+    incr reps
+  done;
+  let seeds = float_of_int (nc_batch * !reps) in
+  {
+    n_label = label;
+    n_batch_seeds_s = seeds /. Float.max 1e-9 !batch_s;
+    n_seq_seeds_s = seeds /. Float.max 1e-9 !seq_s;
+    n_collapsed = collapsed;
+  }
 
 (* ---- intra-run sharding: one big single run, plain vs sharded ---- *)
 
@@ -154,8 +213,21 @@ let json_of_row r =
       ("wall_s", Engine_report.Float r.b_wall);
       ("seeds_per_sec", Engine_report.Float r.b_seeds_s);
       ("collapsed", Engine_report.Bool r.b_collapsed);
-      ("shared_world", Engine_report.Bool r.b_shared);
       ("speedup_vs_s1", Engine_report.Float r.b_speedup);
+    ]
+
+let json_of_nc_row r =
+  Engine_report.Obj
+    [
+      ("cell", Engine_report.String r.n_label);
+      ("k", Engine_report.Int nc_k);
+      ("batch", Engine_report.Int nc_batch);
+      ("batch_seeds_per_sec", Engine_report.Float r.n_batch_seeds_s);
+      ("sequential_seeds_per_sec", Engine_report.Float r.n_seq_seeds_s);
+      ( "vs_sequential",
+        Engine_report.Float
+          (r.n_batch_seeds_s /. Float.max 1e-9 r.n_seq_seeds_s) );
+      ("collapsed", Engine_report.Bool r.n_collapsed);
     ]
 
 let json_of_shard_row r =
@@ -171,7 +243,8 @@ let scale_name () =
 
 let run () =
   header "E22 (seed batching + sharding)"
-    "lockstep seed batches and intra-run sharded route computation";
+    "seed batches (identical-lane collapse) and intra-run sharded route \
+     computation";
   let rows =
     List.concat_map
       (fun (family, _) -> List.concat_map (measure_cell family) ks)
@@ -200,6 +273,32 @@ let run () =
         ])
     rows;
   Table.print t;
+  let nc_rows = List.map measure_non_collapsing (non_collapsing ()) in
+  let nt =
+    Table.create
+      ~caption:
+        (Printf.sprintf
+           "cells that cannot collapse, S=%d, k=%d: one Seed_batch.run vs \
+            the S sequential Scenario.run calls it stands for"
+           nc_batch nc_k)
+      [
+        ("cell", Table.Left); ("batch seeds/s", Table.Right);
+        ("sequential seeds/s", Table.Right); ("vs sequential", Table.Right);
+        ("collapsed", Table.Left);
+      ]
+  in
+  List.iter
+    (fun r ->
+      Table.add_row nt
+        [
+          r.n_label;
+          Printf.sprintf "%.0f" r.n_batch_seeds_s;
+          Printf.sprintf "%.0f" r.n_seq_seeds_s;
+          Table.fratio (r.n_batch_seeds_s /. Float.max 1e-9 r.n_seq_seeds_s);
+          Table.fbool r.n_collapsed;
+        ])
+    nc_rows;
+  Table.print nt;
   let shard_rows = measure_shard_rows () in
   let st =
     Table.create
@@ -230,11 +329,13 @@ let run () =
        @ [
            ( "label",
              Engine_report.String
-               "E22 seed-batched lockstep execution + intra-run sharding" );
+               "E22 seed-batched execution + intra-run sharding" );
            ("scale", Engine_report.String (scale_name ()));
            ( "cores",
              Engine_report.Int (Domain.recommended_domain_count ()) );
            ("configs", Engine_report.List (List.map json_of_row rows));
+           ( "non_collapsing",
+             Engine_report.List (List.map json_of_nc_row nc_rows) );
            ( "sharded",
              Engine_report.List (List.map json_of_shard_row shard_rows) );
          ]));
@@ -273,7 +374,7 @@ let smoke () =
         Scenario.equal_outcome plain (Scenario.run ~shards single))
       [ 2; 3 ]
   in
-  batch_ok && r.Seed_batch.collapsed && r.Seed_batch.shared_world && shard_ok
+  batch_ok && r.Seed_batch.collapsed && r.Seed_batch.lockstep && shard_ok
 
 (* ---- perf gate (--perf-gate) ----
 

@@ -22,7 +22,6 @@ module Env = Bfdn_sim.Env
 module Runner = Bfdn_sim.Runner
 module Trace = Bfdn_sim.Trace
 module Rng = Bfdn_util.Rng
-module Job = Bfdn_engine.Job
 module Batch = Bfdn_engine.Batch
 module Seed_batch = Bfdn_engine.Seed_batch
 module Report = Bfdn_engine.Report
@@ -505,10 +504,12 @@ let sweep_cmd =
       value & flag
       & info [ "seed-batch" ]
           ~doc:
-            "Run each (family, algo, k) cell's repeat seeds as one lockstep \
-             seed batch instead of R independent jobs. Results are \
-             bit-for-bit identical to the per-job sweep; deterministic cells \
-             collapse to a single execution per cell.")
+            "Run each (family, algo, k) cell's repeat seeds as one seed \
+             batch in this process instead of R independent jobs on the \
+             worker pool. Results are bit-for-bit identical to the per-job \
+             sweep; cells whose outcome provably ignores the seed \
+             (deterministic family, no algorithm draws) collapse to a single \
+             execution per cell, the others run their seeds one by one.")
   in
   let action families algos ks jobs n depth repeats seed out metrics seed_batch =
     let split_csv s = String.split_on_char ',' s |> List.map String.trim in
@@ -549,16 +550,16 @@ let sweep_cmd =
             (fun algo ->
               List.map
                 (fun k ->
-                  Job.make ~algo ~k ~seed
-                    (Job.Generated { family; n; depth_hint = depth }))
+                  Scenario.make ~algo ~k ~seed
+                    (Scenario.generated ~family ~n ~depth_hint:depth))
                 ks)
             algos)
         families
     in
     let specs =
       List.concat_map
-        (fun (cell : Job.t) ->
-          List.init repeats (fun r -> { cell with Job.seed = seed + r }))
+        (fun (cell : Scenario.t) ->
+          List.init repeats (fun r -> { cell with Scenario.seed = seed + r }))
         cells
     in
     let total = List.length specs in
@@ -581,15 +582,15 @@ let sweep_cmd =
     let t0 = Batch.now () in
     let results =
       if seed_batch then begin
-        (* One lockstep batch per cell, expanded back into the per-job
+        (* One seed batch per cell, expanded back into the per-job
            result shape so the table, aggregate and report code below is
            oblivious to how the jobs were executed — the batch oracle
            guarantees the rows are byte-identical either way. *)
         let total_cells = List.length cells in
         let completed = ref 0 in
         List.concat_map
-          (fun (cell : Job.t) ->
-            let batched = { cell with Job.batch_seeds = repeats } in
+          (fun (cell : Scenario.t) ->
+            let batched = { cell with Scenario.batch_seeds = repeats } in
             let rows =
               match Seed_batch.run batched with
               | report ->
@@ -643,18 +644,18 @@ let sweep_cmd =
       (fun cell ->
         match cell with
         | [] -> ()
-        | ((job : Job.t), _) :: _ ->
+        | ((job : Scenario.t), _) :: _ ->
             let outcomes =
               List.filter_map (fun (_, r) -> Result.to_option r) cell
             in
             let errors = List.length cell - List.length outcomes in
             if errors > 0 then
               Printf.eprintf "warning: %d failed job(s) in cell %s\n" errors
-                (Job.describe job);
+                (Scenario.describe job);
             let rounds =
               Array.of_list
                 (List.map
-                   (fun (o : Job.outcome) -> float_of_int o.result.rounds)
+                   (fun (o : Scenario.outcome) -> float_of_int o.result.rounds)
                    outcomes)
             in
             if Array.length rounds > 0 then begin
@@ -668,7 +669,8 @@ let sweep_cmd =
                   Table.fint o.depth; Table.ffloat ~decimals:0 s.p50;
                   Table.ffloat ~decimals:0 s.max;
                   Table.fbool
-                    (List.for_all (fun (o : Job.outcome) -> o.result.explored)
+                    (List.for_all
+                       (fun (o : Scenario.outcome) -> o.result.explored)
                        outcomes);
                 ]
             end)

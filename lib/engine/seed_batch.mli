@@ -1,50 +1,42 @@
-(** Seed-batched lockstep execution of one spec over S consecutive
-    seeds.
+(** Seed-batched execution of one spec over S consecutive seeds.
 
     A batched spec ([Scenario.batch_seeds = S]) stands for the S plain
-    specs [Scenario.unbatch t 0 .. S-1]; [run] executes all of them
-    through one fused round loop with flat Bigarray lane-control state,
-    sharing what the determinism oracle proves shareable:
+    specs [Scenario.unbatch t 0 .. S-1], and [run] returns exactly
+    their outcomes. The batch skips work only through the
+    {e identical-lane collapse}: when the tree family's generator
+    ignores the instance stream, the spec has no faults, the probe is a
+    noop, and lane 0 completes without a single algorithm-stream draw
+    ({!Bfdn_scenario.Scenario.run_witness}), every sibling lane is
+    provably byte-identical and its outcome is replicated without
+    executing it — the serve cache's fingerprint argument applied
+    inside a batch. Every other lane is one plain
+    {!Bfdn_scenario.Scenario.run}.
 
-    - one world record (build + stat scan) when the tree family's
-      generator ignores the instance stream;
-    - the entire run, when lane 0 additionally completes without a
-      single algorithm-stream draw on a shared fault-free world — then
-      every sibling lane is provably byte-identical and its outcome is
-      replicated without executing it (the {e identical-lane collapse},
-      the serve cache's fingerprint argument applied inside a batch).
-
-    Outcomes are byte-identical to S sequential [Scenario.run] calls —
-    QCheck-asserted across random configs and re-checked in CI's
-    determinism lane. Shapes outside the synchronous eager tree-runner
-    path (graph, async, adversarial, lazy worlds, enabled probes) fall
-    back to exactly those sequential calls. *)
+    Outcomes equal S sequential [Scenario.run] calls — QCheck-asserted
+    across random configs and re-checked in CI's determinism lane. *)
 
 type report = {
   outcomes : Bfdn_scenario.Scenario.outcome array;
       (** lane [i] = outcome of [Scenario.run (unbatch t i)], always *)
-  lockstep : bool;  (** fused loop used (vs the sequential fallback) *)
-  shared_world : bool;  (** one world record served every lane *)
+  lockstep : bool;
+      (** lane 0 ran as the collapse witness (the spec had a collapsible
+          shape). The name predates this meaning and stays only because
+          the benchmark reads it. *)
   collapsed : bool;
       (** lanes 1..S-1 replicated from lane 0's draw-free proof *)
 }
 
 val run :
   ?probe:Bfdn_obs.Probe.t ->
-  ?shards:int ->
-  ?tick:(round:int -> active:int -> unit) ->
+  ?on_round:(Bfdn_sim.Exec_env.t -> unit) ->
   Bfdn_scenario.Scenario.t ->
   report
 (** Execute a (possibly) batched spec. [batch_seeds = 1] degenerates to
     one [Scenario.run].
 
-    [probe]: per-lane observation; an {e enabled} probe forces the
-    sequential fallback (identical results, Runner's instrumented loop).
-    [shards] additionally shards each lane's route-computation phase
-    over a domain team shared by the whole batch (see
-    {!Bfdn_scenario.Scenario.run}); advisory, never alters results.
-    [tick] is invoked at least once per lockstep sweep (and per lane-0
-    round) with the sweep counter and the number of still-running
-    lanes — raise from it to abort the batch (the serve layer's
-    deadline/cancellation hook).
+    [probe]: per-lane observation; an {e enabled} probe rules the
+    collapse out, so every lane runs and is observed.
+    [on_round] is forwarded to every executed lane's [Scenario.run] and
+    so fires once per round of each of them — raise from it to abort
+    the batch (the serve layer's deadline/cancellation hook).
     @raise Invalid_argument when the spec fails validation. *)

@@ -504,9 +504,9 @@ let load path =
    The seed derivation is load-bearing: split index 0 is the instance
    stream, split index 1 the algorithm stream, and an adversarial replay
    re-derives the algorithm stream from scratch so the frozen-tree re-run
-   sees exactly the stream the adaptive run saw. This matches the engine's
-   historical Job.run wiring bit for bit (asserted by the golden
-   equivalence suite in test/test_scenario.ml). *)
+   sees exactly the stream the adaptive run saw. Every execution path,
+   batched lanes included, derives its streams here and nowhere else
+   (asserted by the golden equivalence suite in test/test_scenario.ml). *)
 
 let instance_stream root = Rng.split root 0
 let algo_stream root = Rng.split root 1
@@ -541,6 +541,23 @@ let tree_on_round ~on_round ~algo env =
   | Some f ->
       let view = Exec_env.of_env algo env in
       Some (fun (_ : Env.t) -> f view)
+
+(* The synchronous tree runner on a prepared environment, shared by
+   generated tree worlds and [run_on_tree]. *)
+let run_tree_env ~probe ~on_round ~rng ?fault ?shard_pool t env =
+  let algo = instantiate ~probe ~rng ?fault ?shard_pool t env in
+  let result =
+    Runner.run ?max_rounds:t.max_rounds
+      ?on_round:(tree_on_round ~on_round ~algo env)
+      ~probe algo env
+  in
+  {
+    result;
+    replay_rounds = None;
+    n = Env.oracle_n env;
+    depth = Env.oracle_depth env;
+    max_degree = Env.oracle_max_degree env;
+  }
 
 (* Graph worlds: build the port-labeled graph from the instance stream,
    thread probe + fault hook into the graph environment, and drive the
@@ -582,11 +599,15 @@ let run_async ~probe ~on_round ~root ~fault_hook t tree =
     max_degree = stats.max_degree;
   }
 
-(* [shards]: an advisory, non-wire execution hint — sharding is
+(* [run]'s body. The flag is [true] when the run took the synchronous
+   tree path and left the algorithm stream exactly as it found it —
+   [run_witness]'s evidence; every other path reports [false].
+
+   [shards]: an advisory, non-wire execution hint — sharding is
    bit-for-bit invisible in results (asserted by the determinism suite),
    so it lives beside [probe]/[on_round] rather than in the spec. The
    domain team is created for the run and torn down with it. *)
-let run ?(probe = Probe.noop) ?on_round ?shards t =
+let execute ~probe ?on_round ?shards t =
   checked t;
   if t.batch_seeds > 1 then
     invalid_arg
@@ -622,12 +643,12 @@ let run ?(probe = Probe.noop) ?on_round ?shards t =
       in
       match kind with
       | World_registry.Grid _ | World_registry.Graph _ ->
-          run_graph ~probe ~on_round ~root ~fault_hook t ~world ~params
+          (run_graph ~probe ~on_round ~root ~fault_hook t ~world ~params, false)
       | World_registry.Tree _ when entry.Algo_registry.make_tree = None ->
           let tree =
             World_registry.build_tree ~rng:(instance_stream root) ~params world
           in
-          run_async ~probe ~on_round ~root ~fault_hook t tree
+          (run_async ~probe ~on_round ~root ~fault_hook t tree, false)
       | World_registry.Tree _ ->
           let env =
             match World_registry.scale_of_params params with
@@ -649,22 +670,12 @@ let run ?(probe = Probe.noop) ?on_round ?shards t =
                 in
                 Env.create tree ~k:t.k ~probe ~fault:fault_hook
           in
-          let algo =
-            instantiate ~probe ~rng:(algo_stream root) ?fault ?shard_pool:pool
-              t env
+          let rng = algo_stream root in
+          let before = Rng.copy rng in
+          let o =
+            run_tree_env ~probe ~on_round ~rng ?fault ?shard_pool:pool t env
           in
-          let result =
-            Runner.run ?max_rounds:t.max_rounds
-              ?on_round:(tree_on_round ~on_round ~algo env)
-              ~probe algo env
-          in
-          {
-            result;
-            replay_rounds = None;
-            n = Env.oracle_n env;
-            depth = Env.oracle_depth env;
-            max_degree = Env.oracle_max_degree env;
-          })
+          (o, Rng.equal rng before))
   | Adversarial { policy; params } ->
       let adv =
         World_registry.build_adversary ~rng:(instance_stream root) ~params
@@ -693,13 +704,19 @@ let run ?(probe = Probe.noop) ?on_round ?shards t =
           env2
       in
       let replay = Runner.run ?max_rounds:t.max_rounds algo2 env2 in
-      {
-        result;
-        replay_rounds = Some replay.rounds;
-        n = stats.n;
-        depth = stats.depth;
-        max_degree = stats.max_degree;
-      }
+      ( {
+          result;
+          replay_rounds = Some replay.rounds;
+          n = stats.n;
+          depth = stats.depth;
+          max_degree = stats.max_degree;
+        },
+        false )
+
+let run ?(probe = Probe.noop) ?on_round ?shards t =
+  fst (execute ~probe ?on_round ?shards t)
+
+let run_witness ?on_round t = execute ~probe:Probe.noop ?on_round t
 
 let materialize t =
   checked t;
@@ -750,16 +767,4 @@ let run_on_tree ?(probe = Probe.noop) ?on_round t tree =
     let env =
       Env.create tree ~k:t.k ~probe ~fault:(Bfdn_faults.Injector.hook_opt fault)
     in
-    let algo = instantiate ~probe ~rng:(algo_stream root) ?fault t env in
-    let result =
-      Runner.run ?max_rounds:t.max_rounds
-        ?on_round:(tree_on_round ~on_round ~algo env)
-        ~probe algo env
-    in
-    {
-      result;
-      replay_rounds = None;
-      n = Env.oracle_n env;
-      depth = Env.oracle_depth env;
-      max_degree = Env.oracle_max_degree env;
-    }
+    run_tree_env ~probe ~on_round ~rng:(algo_stream root) ?fault t env

@@ -44,7 +44,7 @@ type t = {
           stream, so the schedule replays identically everywhere. *)
   batch_seeds : int;
       (** S >= 1: the spec stands for the S consecutive seeds
-          [seed, seed + S), executed in lockstep by the batch engine
+          [seed, seed + S), executed by the batch engine
           ([Bfdn_engine.Seed_batch]). [1] (the default) is the plain
           single-seed spec, byte-identical on the wire to pre-batch
           specs; values above 1 are emitted as a version-2
@@ -147,36 +147,6 @@ val registry_json : unit -> Bfdn_obs.Json.t
 
 (** {2 Execution} *)
 
-(** {3 RNG stream derivation}
-
-    The load-bearing seed derivation, shared verbatim with the batch
-    engine so a batched lane and a plain run consume identical streams:
-    [root = Rng.create seed], then split index 0 = instance stream,
-    1 = algorithm stream, 2 = fault stream ({!Bfdn_util.Rng.split} is
-    pure, so requesting one stream never perturbs another). *)
-
-val instance_stream : Bfdn_util.Rng.t -> Bfdn_util.Rng.t
-val algo_stream : Bfdn_util.Rng.t -> Bfdn_util.Rng.t
-val fault_stream : Bfdn_util.Rng.t -> Bfdn_util.Rng.t
-
-val fault_plan :
-  t -> Bfdn_util.Rng.t -> Bfdn_faults.Fault_plan.t option
-(** Compile the spec's fault schedule from the root stream ([None] when
-    [faults = []], drawing nothing). Re-derivable anywhere the run is
-    (re-)executed, so every execution injects the identical schedule. *)
-
-val instantiate :
-  probe:Bfdn_obs.Probe.t ->
-  rng:Bfdn_util.Rng.t ->
-  ?fault:Bfdn_faults.Fault_plan.t ->
-  ?shard_pool:Bfdn_util.Shard_pool.t ->
-  t ->
-  Bfdn_sim.Env.t ->
-  Bfdn_sim.Runner.algo
-(** Construct the spec's algorithm on a prepared tree environment —
-    {!Algo_registry.instantiate} with the spec's name and parameters.
-    [rng] must be the spec's algorithm stream for the run to replay. *)
-
 val run :
   ?probe:Bfdn_obs.Probe.t ->
   ?on_round:(Bfdn_sim.Exec_env.t -> unit) ->
@@ -184,8 +154,10 @@ val run :
   t ->
   outcome
 (** Execute the spec — the single executor for every world kind. Derive
-    the instance and algorithm RNG streams from [seed] ([Rng.split]
-    indices 0 and 1), build the environment, construct the algorithm
+    the instance, algorithm and fault RNG streams from [seed]
+    ([Rng.split] indices 0, 1 and 2 of [Rng.create seed]; the split is
+    pure, so requesting one stream never perturbs another), compile the
+    fault schedule, build the environment, construct the algorithm
     through {!Algo_registry} and drive the matching loop: synchronous
     tree worlds run through the monomorphic {!Bfdn_sim.Runner.run} fast
     path, grid/graph worlds through {!Bfdn_graphs.Graph_env} and
@@ -207,6 +179,17 @@ val run :
     @raise Invalid_argument when {!validate} fails, and for batched
     specs ([batch_seeds > 1] — execute those with the batch engine's
     [Seed_batch.run], or lane-by-lane via {!unbatch}). *)
+
+val run_witness :
+  ?on_round:(Bfdn_sim.Exec_env.t -> unit) -> t -> outcome * bool
+(** [run_witness t] is [(run t, drew_nothing)]: the same execution with
+    a noop probe, plus whether it took the synchronous tree-runner path
+    and finished without a single draw from its algorithm stream
+    (checked by {!Bfdn_util.Rng.equal} on the stream's state before and
+    after; [false] on every other path). On a world whose tree ignores
+    the instance stream and with no faults, [drew_nothing] proves that
+    every other seed would replay this outcome exactly — the batch
+    engine's identical-lane collapse. *)
 
 val materialize : t -> Bfdn_trees.Tree.t
 (** The hidden tree [run] would explore, generated from the same

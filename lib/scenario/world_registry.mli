@@ -72,7 +72,7 @@ val deterministic_tree : ?params:Param.binding list -> string -> bool
     ignores the instance RNG stream
     ({!Bfdn_trees.Tree_gen.deterministic_family}) — exactly the worlds
     where every seed of one spec hides the identical tree, so a seed
-    batch may build it once and share it. *)
+    batch whose lane 0 draws nothing may replicate that lane. *)
 
 val build_lazy :
   ?seed:int -> ?params:Param.binding list -> string ->

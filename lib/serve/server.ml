@@ -214,15 +214,18 @@ let exec t (job : Q.job) =
     let deadline =
       Clock.now_ns () + int_of_float (job.Q.timeout_s *. 1e9)
     in
-    let on_round (exec : Bfdn_sim.Exec_env.t) =
-      let frame = Trace.json_of_frame (exec.Bfdn_sim.Exec_env.frame ()) in
-      Stream.push job.Q.stream frame;
-      Ring.push job.Q.frames frame;
+    let check_deadline (_ : Bfdn_sim.Exec_env.t) =
       if Clock.now_ns () > deadline then begin
         job.Q.timed_out <- true;
         Pool.cancel job.Q.token
       end;
       Pool.check job.Q.token
+    in
+    let on_round (exec : Bfdn_sim.Exec_env.t) =
+      let frame = Trace.json_of_frame (exec.Bfdn_sim.Exec_env.frame ()) in
+      Stream.push job.Q.stream frame;
+      Ring.push job.Q.frames frame;
+      check_deadline exec
     in
     let phased, close_phases =
       Span.phase_probe job.Q.span ~parent:exe (Probe.of_metrics reg)
@@ -265,21 +268,16 @@ let exec t (job : Q.job) =
       Q.settle t.adm job st
     in
     (* Batched specs fan out through the batch engine: one admission
-       ticket, one execute span, S lockstep lanes. Each lane's outcome
-       is streamed as it is known and cached under the lane's own
-       (unbatched) fingerprint, so a later plain request for any single
-       seed is a cache hit; the combined body is cached under the batch
-       fingerprint by the common path below. *)
+       ticket, one execute span, S lanes. The deadline is checked every
+       round of every lane, but no trace frames are streamed: the
+       stream carries one row per lane. Each lane's outcome is streamed
+       and cached under the lane's own (unbatched) fingerprint, so a
+       later plain request for any single seed is a cache hit; the
+       combined body is cached under the batch fingerprint by the
+       common path below. *)
     let run_batched () =
       let spec = job.Q.spec in
-      let tick ~round:_ ~active:_ =
-        if Clock.now_ns () > deadline then begin
-          job.Q.timed_out <- true;
-          Pool.cancel job.Q.token
-        end;
-        Pool.check job.Q.token
-      in
-      let report = Seed_batch.run ~probe ~tick spec in
+      let report = Seed_batch.run ~probe ~on_round:check_deadline spec in
       let lanes =
         Array.mapi
           (fun l outcome ->
@@ -303,9 +301,6 @@ let exec t (job : Q.job) =
         (Json.Obj
            [
              ("seeds", Json.Int spec.Scenario.batch_seeds);
-             ("lockstep", Json.Bool report.Seed_batch.lockstep);
-             ("shared_world", Json.Bool report.Seed_batch.shared_world);
-             ("collapsed", Json.Bool report.Seed_batch.collapsed);
              ("outcomes", Json.List (Array.to_list lanes));
            ])
     in

@@ -101,8 +101,6 @@ val of_world :
     change after creation, letting {!Runner.run} compute its termination
     bound once instead of every round. {!create} sets it. *)
 
-val world_of_tree : Bfdn_trees.Tree.t -> world
-
 val fixed_world : t -> bool
 (** Whether the hidden world was declared fixed at creation. *)
 

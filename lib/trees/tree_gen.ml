@@ -272,8 +272,8 @@ let families =
 (* The families whose generator never reads [rng]: [of_family] is a pure
    function of [(name, n, depth_hint)] for these, so distinct seeds of
    one spec share a single hidden tree. The batch engine relies on this
-   to build (and stat) one world for a whole seed batch; the claim is
-   asserted per family by a generator test. *)
+   to replicate one draw-free lane across a whole seed batch; the claim
+   is asserted per family by a generator test. *)
 let randomized_families = [ "random"; "random-deep"; "bounded3" ]
 
 let deterministic_family name =

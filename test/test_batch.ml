@@ -1,11 +1,11 @@
-(* Tests for seed-batched lockstep execution and intra-run sharding.
+(* Tests for seed-batched execution and intra-run sharding.
 
    The two contracts under test are determinism contracts:
 
    - batch oracle: every lane of [Seed_batch.run] is byte-identical to
      the sequential [Scenario.run] of the unbatched lane spec — across
-     random configs (QCheck), including shapes served by the sequential
-     fallback (adversarial, faults, randomized algorithms);
+     random configs (QCheck), including shapes that cannot collapse
+     (adversarial, faults, randomized algorithms, enabled probes);
    - shard oracle: [Scenario.run ~shards:n] is byte-identical to the
      unsharded run for every n — the sharded select's merge is stable
      robot-index order by construction.
@@ -13,12 +13,15 @@
    Plus the soundness premises of the identical-lane collapse: the
    deterministic-family predicate is asserted against the generators
    themselves, and the collapse flag only appears when its proof
-   obligations hold. *)
+   obligations hold. [lockstep] marks the batches whose lane 0 ran as
+   the collapse witness. *)
 
 module Scenario = Bfdn_scenario.Scenario
 module Param = Bfdn_scenario.Param
 module World_registry = Bfdn_scenario.World_registry
 module Seed_batch = Bfdn_engine.Seed_batch
+module Metrics = Bfdn_obs.Metrics
+module Probe = Bfdn_obs.Probe
 module Tree_gen = Bfdn_trees.Tree_gen
 module Tree = Bfdn_trees.Tree
 module Rng = Bfdn_util.Rng
@@ -43,8 +46,8 @@ let sequential_outcomes t =
   Array.init t.Scenario.batch_seeds (fun l ->
       Scenario.run (Scenario.unbatch t l))
 
-let check_batch_equals_sequential what t =
-  let report = Seed_batch.run t in
+let check_batch_equals_sequential ?probe what t =
+  let report = Seed_batch.run ?probe t in
   let seq = sequential_outcomes t in
   checki (what ^ ": lane count") t.Scenario.batch_seeds
     (Array.length report.Seed_batch.outcomes);
@@ -86,6 +89,15 @@ let test_deterministic_families () =
 
 (* ---- collapse: flags only when the proof obligations hold ---- *)
 
+let binary_bfdn () =
+  gen_spec ~family:"binary" ~n:120 ~k:8 ~seed:5 ~batch_seeds:4 ()
+
+let faulty_binary () =
+  gen_spec ~family:"binary" ~n:100 ~k:8 ~seed:8 ~batch_seeds:3
+    ~algo_params:[ ("fault_tolerant", Param.Bool true) ]
+    ~faults:[ ("rate", Param.Float 0.2); ("restart", Param.Int 9) ]
+    ()
+
 let test_collapse_flags () =
   (* Deterministic family + draw-free algorithm: collapses. *)
   let r =
@@ -93,16 +105,14 @@ let test_collapse_flags () =
       (gen_spec ~family:"binary" ~n:120 ~k:8 ~seed:5 ~batch_seeds:8 ())
   in
   checkb "binary/bfdn collapses" true r.Seed_batch.collapsed;
-  checkb "binary/bfdn shares the world" true r.Seed_batch.shared_world;
-  checkb "binary/bfdn lockstep" true r.Seed_batch.lockstep;
-  (* Randomized instance: no shared world, no collapse, still equal. *)
+  checkb "binary/bfdn ran a witness" true r.Seed_batch.lockstep;
+  (* Randomized instance: not a witness shape, no collapse, still equal. *)
   let r =
     check_batch_equals_sequential "random/bfdn"
       (gen_spec ~family:"random" ~n:100 ~k:8 ~seed:6 ~batch_seeds:4 ())
   in
-  checkb "random/bfdn does not share" false r.Seed_batch.shared_world;
   checkb "random/bfdn does not collapse" false r.Seed_batch.collapsed;
-  checkb "random/bfdn still lockstep" true r.Seed_batch.lockstep;
+  checkb "random/bfdn runs no witness" false r.Seed_batch.lockstep;
   (* Drawing algorithm on a deterministic family: lanes genuinely
      differ, so the draw-free proof must fail. *)
   let r =
@@ -111,26 +121,24 @@ let test_collapse_flags () =
          ~algo:"random-walk" ())
   in
   checkb "random-walk does not collapse" false r.Seed_batch.collapsed;
-  (* Faults: per-lane schedules differ, so no collapse even when the
-     world is shared. *)
+  checkb "random-walk lane 0 was the witness" true r.Seed_batch.lockstep;
+  (* Faults: per-lane schedules differ, so no collapse even on a
+     deterministic family. *)
   let r =
-    check_batch_equals_sequential "faulty binary/bfdn"
-      (gen_spec ~family:"binary" ~n:100 ~k:8 ~seed:8 ~batch_seeds:3
-         ~algo_params:[ ("fault_tolerant", Param.Bool true) ]
-         ~faults:[ ("rate", Param.Float 0.2); ("restart", Param.Int 9) ]
-         ())
+    check_batch_equals_sequential "faulty binary/bfdn" (faulty_binary ())
   in
   checkb "faulty batch does not collapse" false r.Seed_batch.collapsed;
-  checkb "faulty batch still shares the world" true r.Seed_batch.shared_world
+  checkb "faulty batch runs no witness" false r.Seed_batch.lockstep
 
 let test_fallback_shapes () =
-  (* Adversarial: sequential fallback, still lane-identical. *)
+  (* Adversarial: every lane runs, still lane-identical. *)
   let t =
     Scenario.make ~algo:"bfdn" ~k:4 ~seed:11 ~batch_seeds:3
       (Scenario.adversarial ~policy:"corridor" ~capacity:120 ~depth_budget:10)
   in
   let r = check_batch_equals_sequential "adversarial" t in
-  checkb "adversarial falls back" false r.Seed_batch.lockstep;
+  checkb "adversarial runs no witness" false r.Seed_batch.lockstep;
+  checkb "adversarial does not collapse" false r.Seed_batch.collapsed;
   (* Round cap: hit_round_limit lanes stay identical. *)
   let t =
     {
@@ -141,6 +149,67 @@ let test_fallback_shapes () =
   let r = check_batch_equals_sequential "round-capped" t in
   checkb "capped lane hit the limit" true
     r.Seed_batch.outcomes.(0).Scenario.result.Bfdn_sim.Runner.hit_round_limit
+
+(* ---- on_round, probes and faults ---- *)
+
+let total_rounds outcomes =
+  Array.fold_left
+    (fun acc (o : Scenario.outcome) -> acc + o.result.Bfdn_sim.Runner.rounds)
+    0 outcomes
+
+let test_on_round_per_lane_round () =
+  List.iter
+    (fun (what, t, executed) ->
+      let calls = ref 0 in
+      let r = Seed_batch.run ~on_round:(fun _ -> incr calls) t in
+      checki
+        (what ^ ": one call per round of every executed lane")
+        (total_rounds (Array.sub r.Seed_batch.outcomes 0 executed))
+        !calls)
+    [
+      (* collapsed: only lane 0 executes *)
+      ("binary/bfdn", binary_bfdn (), 1);
+      ( "random/bfdn",
+        gen_spec ~family:"random" ~n:100 ~k:8 ~seed:6 ~batch_seeds:4 (),
+        4 );
+      ( "binary/random-walk",
+        gen_spec ~family:"binary" ~n:60 ~k:4 ~seed:7 ~batch_seeds:3
+          ~algo:"random-walk" (),
+        3 );
+      ("faulty binary", faulty_binary (), 3);
+    ]
+
+let test_no_collapse_under_probe_or_faults () =
+  let probe = Probe.of_metrics (Metrics.create ()) in
+  let r =
+    check_batch_equals_sequential ~probe "probed binary" (binary_bfdn ())
+  in
+  checkb "enabled probe: no collapse" false r.Seed_batch.collapsed;
+  checkb "enabled probe: no witness" false r.Seed_batch.lockstep;
+  let r =
+    check_batch_equals_sequential ~probe "probed faulty binary"
+      (faulty_binary ())
+  in
+  checkb "probe and faults: no collapse" false r.Seed_batch.collapsed
+
+let test_probed_batch_equals_sequential () =
+  let probe = Probe.of_metrics (Metrics.create ()) in
+  List.iter
+    (fun (what, t) -> ignore (check_batch_equals_sequential ~probe what t))
+    [
+      ("binary/bfdn", binary_bfdn ());
+      ( "random/cte",
+        gen_spec ~family:"random" ~n:90 ~k:5 ~seed:9 ~batch_seeds:3 ~algo:"cte"
+          () );
+      ( "comb/random-walk",
+        gen_spec ~family:"comb" ~n:60 ~k:3 ~seed:10 ~batch_seeds:3
+          ~algo:"random-walk" () );
+      ("faulty binary", faulty_binary ());
+      ( "adversarial",
+        Scenario.make ~algo:"bfdn" ~k:4 ~seed:13 ~batch_seeds:2
+          (Scenario.adversarial ~policy:"corridor" ~capacity:100
+             ~depth_budget:10) );
+    ]
 
 (* ---- qcheck: batch oracle across random configs ---- *)
 
@@ -270,6 +339,12 @@ let suite =
         test_deterministic_families;
       Alcotest.test_case "collapse flags" `Quick test_collapse_flags;
       Alcotest.test_case "fallback shapes" `Quick test_fallback_shapes;
+      Alcotest.test_case "on_round fires per round of every executed lane"
+        `Quick test_on_round_per_lane_round;
+      Alcotest.test_case "no collapse under a probe or faults" `Quick
+        test_no_collapse_under_probe_or_faults;
+      Alcotest.test_case "probed batch = S sequential runs" `Quick
+        test_probed_batch_equals_sequential;
       Alcotest.test_case "shard equality" `Quick test_shard_equality;
       Alcotest.test_case "shard pool" `Quick test_shard_pool;
       Alcotest.test_case "batched wire form" `Quick test_batch_wire;

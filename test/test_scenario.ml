@@ -10,7 +10,6 @@ module Param = Bfdn_scenario.Param
 module Algo_registry = Bfdn_scenario.Algo_registry
 module World_registry = Bfdn_scenario.World_registry
 module Scenario = Bfdn_scenario.Scenario
-module Job = Bfdn_engine.Job
 module Tree_gen = Bfdn_trees.Tree_gen
 module Env = Bfdn_sim.Env
 module Runner = Bfdn_sim.Runner
@@ -57,10 +56,6 @@ let test_algos_reachable_from_cli () =
               (List.mem (alias, e.name) Algo_registry.cli_choices))
         e.aliases)
     Algo_registry.all
-
-let test_engine_vocabulary_is_registry () =
-  check_sl "Job.algos" Algo_registry.tree_names Job.algos;
-  check_sl "Job.policies" World_registry.policy_names Job.policies
 
 let test_caps_match_constructors () =
   (* The capability matrix is derived, so a listed capability without a
@@ -385,26 +380,6 @@ let test_golden_equivalence () =
     golden_families;
   Alcotest.(check int) "all 42 golden configs covered" 42 !idx
 
-let test_job_run_is_scenario_run () =
-  (* the engine's Job.run and Scenario.run are one path, generated and
-     adversarial alike *)
-  let jobs =
-    [
-      Job.make ~algo:"cte" ~k:7 ~seed:11
-        (Job.Generated { family = "trap"; n = 300; depth_hint = 10 });
-      Job.make ~algo:"random-walk" ~k:3 ~seed:5
-        (Job.Generated { family = "star"; n = 60; depth_hint = 2 });
-      Job.make ~algo:"bfdn" ~k:6 ~seed:2
-        (Job.Adversarial
-           { policy = "thick-comb"; capacity = 150; depth_budget = 40 });
-    ]
-  in
-  List.iter
-    (fun job ->
-      checkb (Job.describe job) true
-        (Scenario.equal_outcome (Job.run job) (Scenario.run job)))
-    jobs
-
 let test_save_load_reexecute () =
   let path = Filename.temp_file "scenario" ".json" in
   Fun.protect
@@ -544,9 +519,9 @@ let test_graph_batch_determinism () =
       match (a, b) with
       | Ok x, Ok y ->
           checkb
-            (Printf.sprintf "1 vs 3 workers: %s" (Job.describe job))
-            true (Job.equal_outcome x y)
-      | _ -> Alcotest.fail (Job.describe job ^ ": job failed"))
+            (Printf.sprintf "1 vs 3 workers: %s" (Scenario.describe job))
+            true (Scenario.equal_outcome x y)
+      | _ -> Alcotest.fail (Scenario.describe job ^ ": job failed"))
     seq par
 
 let test_grid_fault_sweep () =
@@ -610,7 +585,6 @@ let suite =
     [
       tc "worlds cover Tree_gen" test_worlds_cover_tree_gen;
       tc "algorithms reachable from CLI" test_algos_reachable_from_cli;
-      tc "engine vocabulary is the registry" test_engine_vocabulary_is_registry;
       tc "caps match constructors" test_caps_match_constructors;
       tc "every world builds and explores" test_every_world_builds_and_explores;
       tc "every policy runs" test_every_policy_runs;
@@ -620,7 +594,6 @@ let suite =
       QCheck_alcotest.to_alcotest prop_json_roundtrip;
       QCheck_alcotest.to_alcotest prop_graph_json_roundtrip;
       tc "golden equivalence (42 configs)" test_golden_equivalence;
-      tc "job.run = scenario.run" test_job_run_is_scenario_run;
       tc "save/load/re-execute" test_save_load_reexecute;
       tc "run_on_tree matches run" test_run_on_tree_matches_run;
       tc "lazy scale runs" test_lazy_scale_runs;

@@ -441,6 +441,35 @@ let test_e2e_timeout_cancels_cleanly () =
       let ok = post_run port (Scenario.to_string spec_small) in
       checki "pool survives the cancel" 200 ok.Client.status)
 
+(* A batched job checks its deadline every round of every lane, not
+   once per lane: the 504 arrives long before one lane could finish,
+   and the single worker is free for the next job right after. *)
+let test_e2e_batched_timeout () =
+  let batched =
+    Scenario.make ~algo:"random-walk" ~k:4 ~seed:3 ~batch_seeds:3
+      (Scenario.generated ~family:"binary" ~n:20000 ~depth_hint:16)
+  in
+  (* In-process, unprobed: a lower bound on the server's lane time. *)
+  let t0 = Unix.gettimeofday () in
+  ignore (Scenario.run (Scenario.unbatch batched 0) : Scenario.outcome);
+  let lane_s = Unix.gettimeofday () -. t0 in
+  with_server ~workers:1 ~cache_cap:0 (fun port ->
+      let t0 = Unix.gettimeofday () in
+      let resp =
+        post_run ~query:"?timeout_s=0.02" port (Scenario.to_string batched)
+      in
+      let waited = Unix.gettimeofday () -. t0 in
+      checki "timed-out batch is 504" 504 resp.Client.status;
+      checkb "reported as timeout" true
+        (member_string "status" resp.Client.body = Some "timeout");
+      checkb
+        (Printf.sprintf "504 after %.3fs, well before one lane's %.3fs" waited
+           lane_s)
+        true
+        (waited < lane_s /. 2.);
+      let ok = post_run port (Scenario.to_string spec_small) in
+      checki "pool serves after the cancel" 200 ok.Client.status)
+
 let test_e2e_stream_and_status () =
   with_server ~workers:1 (fun port ->
       let wire = Scenario.to_string spec_small in
@@ -827,6 +856,8 @@ let suite =
       Alcotest.test_case "e2e full queue is 429" `Quick test_e2e_backpressure_429;
       Alcotest.test_case "e2e timeout cancels cleanly" `Quick
         test_e2e_timeout_cancels_cleanly;
+      Alcotest.test_case "e2e batched timeout stops mid-lane" `Quick
+        test_e2e_batched_timeout;
       Alcotest.test_case "e2e stream and job status" `Quick
         test_e2e_stream_and_status;
       Alcotest.test_case "e2e registry and metrics endpoints" `Quick

@@ -600,9 +600,9 @@ let suite =
       tc "lazy scale rejects unsupported" test_lazy_scale_rejects_unsupported;
       tc "every graph world explores" test_every_graph_world_explores;
       tc "async spec runs" test_async_spec_runs;
-      tc "graph batch 1 vs N workers" test_graph_batch_determinism;
       tc "grid fault sweep" test_grid_fault_sweep;
       tc "materialize rejects graph worlds" test_materialize_rejects_graph_worlds;
+      tc "graph batch 1 vs N workers" test_graph_batch_determinism;
       tc "validate rejects kind mismatch" test_validate_rejects_kind_mismatch;
       tc "probe does not change outcome" test_probe_does_not_change_outcome;
     ] )

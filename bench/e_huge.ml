@@ -7,7 +7,10 @@
    Three claims land in BENCH_huge.json:
    - throughput: rounds/sec of full explorations at n = 10^6, k up to
      10^4, on lazy worlds, with the GC pause histogram from the
-     Gc_probe round hook;
+     Gc_probe round hook and the select/apply phase split. The deep
+     (comb, D ~ 10^4) and crowded (caterpillar, Delta ~ 2*10^5) rows
+     show whether a round's cost stays O(k + events): apply ns per edge
+     event must not grow with depth, nor select time with degree;
    - memory: a bounded exploration of an n = 10^6 world holds
      O(explored) state under scale=lazy — its peak RSS must stay a
      small fraction (target <= ~25%) of the same run against the fully
@@ -87,11 +90,22 @@ let measure_spec s =
   in
   let algo = Bfdn.Bfdn_algo.algo (Bfdn.Bfdn_algo.make env) in
   let on_round _ = Gc_probe.tick gc in
+  (* Phase split: two clock reads per phase and round. *)
+  let select_ns = ref 0 and apply_ns = ref 0 in
+  let probe =
+    Probe.make
+      ~on_phase:(fun ph ns ->
+        match ph with
+        | Probe.Select -> select_ns := !select_ns + ns
+        | Probe.Apply -> apply_ns := !apply_ns + ns
+        | Probe.Finished_check -> ())
+      ()
+  in
   let t0 = Batch.now () in
   let r =
     if s.sp_max_rounds > 0 then
-      Runner.run ~max_rounds:s.sp_max_rounds ~on_round algo env
-    else Runner.run ~on_round algo env
+      Runner.run ~max_rounds:s.sp_max_rounds ~on_round ~probe algo env
+    else Runner.run ~on_round ~probe algo env
   in
   let wall = Batch.now () -. t0 in
   Gc_probe.snapshot gc;
@@ -117,6 +131,11 @@ let measure_spec s =
       ( "rounds_per_sec",
         Engine_report.Float
           (float_of_int r.Runner.rounds /. Float.max 1e-9 wall) );
+      ("select_seconds", Engine_report.Float (float_of_int !select_ns /. 1e9));
+      ("apply_seconds", Engine_report.Float (float_of_int !apply_ns /. 1e9));
+      ( "apply_ns_per_event",
+        Engine_report.Float
+          (float_of_int !apply_ns /. float_of_int (max 1 r.Runner.edge_events)) );
       ( "peak_rss_bytes",
         match Engine_report.peak_rss_bytes () with
         | Some b -> Engine_report.Int b
@@ -179,13 +198,18 @@ let lazy_spec ?(mode = "lazy") ?(max_rounds = 0) family depth_hint n k =
     sp_max_rounds = max_rounds;
   }
 
-(* Full explorations at the million-node tier; k spans 2^10 to 10^4. *)
+(* Full explorations at the million-node tier; k spans 2^10 to 10^4.
+   Comb at depth_hint 100 has a 100-node spine with teeth of n/100 - 1
+   nodes (D ~ 10^4); caterpillar at depth_hint 5 has spine nodes of
+   degree ~ n/5, so 1024 robots crowd the same node every round. *)
 let throughput_specs () =
   let n = sized 1_000_000 in
   [
     lazy_spec "binary" 20 n 1024;
     lazy_spec "random" 25 n 1024;
     lazy_spec "binary" 20 n 10_000;
+    lazy_spec "comb" 100 n 1024;
+    lazy_spec "caterpillar" 5 n 1024;
   ]
 
 (* Bounded prefix of an n = 10^7 world: only the explored region is ever
@@ -227,8 +251,10 @@ let run () =
       [
         ("mode", Table.Left); ("family", Table.Left); ("n", Table.Right);
         ("k", Table.Right); ("rounds", Table.Right); ("done", Table.Left);
-        ("rounds/s", Table.Right); ("RSS MB", Table.Right);
-        ("gc maj", Table.Right); ("pauses", Table.Right);
+        ("rounds/s", Table.Right); ("select s", Table.Right);
+        ("apply s", Table.Right); ("apply ns/ev", Table.Right);
+        ("RSS MB", Table.Right); ("gc maj", Table.Right);
+        ("pauses", Table.Right);
       ]
   in
   let add_row j =
@@ -244,6 +270,9 @@ let run () =
         Table.fint (jint j "rounds");
         (if jbool j "explored" then "full" else "prefix");
         Table.ffloat ~decimals:0 (jfloat j "rounds_per_sec");
+        Table.ffloat ~decimals:2 (jfloat j "select_seconds");
+        Table.ffloat ~decimals:2 (jfloat j "apply_seconds");
+        Table.ffloat ~decimals:0 (jfloat j "apply_ns_per_event");
         Table.ffloat ~decimals:1 (rss_mb j);
         Table.fint (jint j "gc_major_cycles"); Table.fint (jint j "gc_pauses");
       ]

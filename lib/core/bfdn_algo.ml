@@ -58,13 +58,12 @@ type t = {
   mutable reanchor_counts : int array; (* indexed by anchor depth *)
   mutable reanchors_total : int;
   mutable summary_sent : bool; (* probe reanchor summary fired once *)
-  (* Round-local count of dangling edges selected by earlier robots at
-     each node, stamped per select call. It replaces a set of (node, port)
-     pairs: the ports selected at a node within one round are always the
-     first unselected dangling ports past the cursor (each robot takes the
-     next one), so a count per node identifies them exactly. *)
+  (* Round-local resume index per node, valid while its stamp equals the
+     select call's epoch: just past the port most recently picked there.
+     Robots at a node pick the next dangling ports past the cursor, in
+     order, so a later robot resumes there instead of re-skipping them. *)
   mutable sel_stamp : int array;
-  mutable sel_cnt : int array;
+  mutable sel_next : int array;
   mutable sel_epoch : int;
   moves : Env.move array; (* returned by select, refilled each round *)
   (* Cached [Via_port p] values indexed by port, so routing and depth-next
@@ -110,7 +109,7 @@ let make ?(policy = Least_loaded) ?(shortcut = false)
     reanchors_total = 0;
     summary_sent = false;
     sel_stamp = Array.make n (-1);
-    sel_cnt = Array.make n 0;
+    sel_next = Array.make n 0;
     sel_epoch = 0;
     moves = Array.make (Env.k env) Env.Stay;
     via = Array.init 8 (fun p -> Env.Via_port p);
@@ -131,7 +130,7 @@ let ensure_nodes t =
     t.anchor_load <- grow_int_array t.anchor_load cap 0;
     t.dangle_cursor <- grow_int_array t.dangle_cursor cap 0;
     t.sel_stamp <- grow_int_array t.sel_stamp cap (-1);
-    t.sel_cnt <- grow_int_array t.sel_cnt cap 0
+    t.sel_next <- grow_int_array t.sel_next cap 0
   end
 
 let ensure_depth t d =
@@ -155,30 +154,28 @@ let via t p =
   end;
   t.via.(p)
 
+(* First dangling port of [pos] at or past [c], or -1; with [commit],
+   the cursor moves past every non-dangling port scanned. *)
+let rec scan t view pos nports c commit =
+  if c >= nports then -1
+  else if Partial_tree.is_port_dangling view pos c then c
+  else begin
+    if commit then t.dangle_cursor.(pos) <- c + 1;
+    scan t view pos nports (c + 1) commit
+  end
+
+(* The cursor may permanently skip non-dangling ports, but a port picked
+   earlier this round is skipped only by resuming past it without
+   committing the cursor: if that move is vetoed (reactive blocking,
+   Remark 8) the port stays dangling and is picked again next round. *)
 let next_dangling t view pos =
   let nports = Partial_tree.num_ports view pos in
-  (* The cursor may permanently skip non-dangling ports, but a dangling
-     port selected by an earlier robot of the same round is only skipped
-     transiently: if that robot's move is vetoed (reactive blocking,
-     Remark 8) the port stays dangling and must remain reachable. *)
-  let skip0 = if t.sel_stamp.(pos) = t.sel_epoch then t.sel_cnt.(pos) else 0 in
-  let rec scan c ~skip ~commit =
-    if c >= nports then -1
-    else if Partial_tree.is_port_dangling view pos c then
-      if skip > 0 then scan (c + 1) ~skip:(skip - 1) ~commit:false else c
-    else begin
-      if commit then t.dangle_cursor.(pos) <- c + 1;
-      scan (c + 1) ~skip ~commit
-    end
-  in
-  scan t.dangle_cursor.(pos) ~skip:skip0 ~commit:true
+  if t.sel_stamp.(pos) = t.sel_epoch then scan t view pos nports t.sel_next.(pos) false
+  else scan t view pos nports t.dangle_cursor.(pos) true
 
-let mark_selected t pos =
-  if t.sel_stamp.(pos) = t.sel_epoch then t.sel_cnt.(pos) <- t.sel_cnt.(pos) + 1
-  else begin
-    t.sel_stamp.(pos) <- t.sel_epoch;
-    t.sel_cnt.(pos) <- 1
-  end
+let mark_selected t pos p =
+  t.sel_stamp.(pos) <- t.sel_epoch;
+  t.sel_next.(pos) <- p + 1
 
 let pick_anchor t view =
   let d = Partial_tree.min_open_depth_raw view in
@@ -334,7 +331,7 @@ let select_seq t =
         (* Depth-next move. *)
         let p = next_dangling t view pos in
         if p >= 0 then begin
-          mark_selected t pos;
+          mark_selected t pos p;
           moves.(i) <- via t p
         end
         else if pos <> root then begin
@@ -420,7 +417,7 @@ let select_sharded t pool =
           (* Anchor is the root itself: depth-next at the root. *)
           let p = next_dangling t view pos in
           if p >= 0 then begin
-            mark_selected t pos;
+            mark_selected t pos p;
             moves.(i) <- via t p
           end
         end
@@ -429,7 +426,7 @@ let select_sharded t pool =
       else begin
         let p = next_dangling t view pos in
         if p >= 0 then begin
-          mark_selected t pos;
+          mark_selected t pos p;
           moves.(i) <- via t p
         end
         else if t.shortcut && Partial_tree.min_open_depth_raw view >= 0 then begin

@@ -37,7 +37,10 @@ type t = {
   (* shared machinery *)
   anchor_load : int array;
   dangle_cursor : int array;
-  selected : (int * int, unit) Hashtbl.t;
+  (* Round-local resume index per node, stamped as in Bfdn_algo. *)
+  sel_stamp : int array;
+  sel_next : int array;
+  mutable sel_epoch : int;
   moves : Env.move array;
   mutable top : instance option;
   mutable j : int; (* Definition 13 call counter *)
@@ -66,7 +69,9 @@ let make ~ell env =
        load.(root) <- k;
        load);
     dangle_cursor = Array.make n 0;
-    selected = Hashtbl.create 16;
+    sel_stamp = Array.make n (-1);
+    sel_next = Array.make n 0;
+    sel_epoch = 0;
     moves = Array.make k Env.Stay;
     top = None;
     j = 0;
@@ -124,23 +129,21 @@ let leaf_reanchor t l i =
       t.stack.(i) <- drop base (Partial_tree.ports_from_root v best);
       t.active.(i) <- true
 
+(* Same transient-skip rule as Bfdn_algo.next_dangling: never commit the
+   cursor past a dangling port that is merely selected this round. *)
 let next_dangling t pos =
   let v = view t in
   let nports = Partial_tree.num_ports v pos in
-  (* Same transient-skip rule as Bfdn_algo.next_dangling: never commit the
-     cursor past a dangling port that is merely selected this round. *)
   let rec scan c ~commit =
     if c >= nports then None
-    else
-      match Partial_tree.port v pos c with
-      | Partial_tree.Dangling ->
-          if Hashtbl.mem t.selected (pos, c) then scan (c + 1) ~commit:false
-          else Some c
-      | Partial_tree.To_parent | Partial_tree.Child _ ->
-          if commit then t.dangle_cursor.(pos) <- c + 1;
-          scan (c + 1) ~commit
+    else if Partial_tree.is_port_dangling v pos c then Some c
+    else begin
+      if commit then t.dangle_cursor.(pos) <- c + 1;
+      scan (c + 1) ~commit
+    end
   in
-  scan t.dangle_cursor.(pos) ~commit:true
+  if t.sel_stamp.(pos) = t.sel_epoch then scan t.sel_next.(pos) ~commit:false
+  else scan t.dangle_cursor.(pos) ~commit:true
 
 let leaf_step_robot t l i =
   let pos = Env.position t.env i in
@@ -160,7 +163,8 @@ let leaf_step_robot t l i =
       | [] -> (
           match next_dangling t pos with
           | Some p ->
-              Hashtbl.replace t.selected (pos, p) ();
+              t.sel_stamp.(pos) <- t.sel_epoch;
+              t.sel_next.(pos) <- p + 1;
               t.moves.(i) <- Env.Via_port p
           | None ->
               if pos <> l.l_root && pos <> Partial_tree.root (view t) then
@@ -351,7 +355,7 @@ let start_call t =
   t.top <- Some (make_instance t ~level:t.ell ~root ~budget ~team)
 
 let select t =
-  Hashtbl.reset t.selected;
+  t.sel_epoch <- t.sel_epoch + 1;
   Array.fill t.moves 0 (Env.k t.env) Env.Stay;
   (match t.top with
   | None -> start_call t

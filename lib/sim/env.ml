@@ -75,7 +75,6 @@ type t = {
   mutable multi_reveals : int;
   (* Per-round scratch, reused across every {!apply} call so the steady
      state round loop allocates nothing. *)
-  eff : move array; (* selected moves after masking, length k *)
   tgt_dst : int array; (* resolved target node, -1 = no move, length k *)
   tgt_port : int array; (* dangling port being crossed, -1 = none, length k *)
   mutable arriving : int array; (* per-node arrival counts, grows *)
@@ -124,7 +123,6 @@ let of_world ?(mask = fun ~round:_ ~robot:_ -> true) ?(fixed = false)
     up_seen = Array.make scratch_cap false;
     allowed_total = 0;
     multi_reveals = 0;
-    eff = Array.make k Stay;
     tgt_dst = Array.make k (-1);
     tgt_port = Array.make k (-1);
     arriving = Array.make scratch_cap 0;
@@ -192,27 +190,22 @@ let apply t moves =
           invalid_arg "Env.apply: reactive blocker returned wrong arity";
         Some verdict
   in
-  (* Count this round's allowance and pin masked robots. *)
+  (* Count this round's allowance, then validate and resolve the targets
+     of the allowed robots — masked ones are pinned — all before mutating
+     anything: moves are synchronous. Targets are int-encoded ([tgt_dst] =
+     -1 for no move, [tgt_port] = the dangling port being crossed or -1)
+     so resolution allocates nothing. *)
   let fault = t.fault in
-  for i = 0 to t.k - 1 do
-    t.eff.(i) <- Stay;
-    if
-      t.mask ~round:t.round ~robot:i
-      && not (fault.fh_enabled && fault.fh_down ~round:t.round ~robot:i)
-      && (match reactive with None -> true | Some v -> v.(i))
-    then begin
-      t.allowed_total <- t.allowed_total + 1;
-      t.eff.(i) <- moves.(i)
-    end
-  done;
-  (* Validate and resolve all targets before mutating anything: moves are
-     synchronous. Targets are int-encoded ([tgt_dst] = -1 for Stay,
-     [tgt_port] = the dangling port being crossed or -1) so resolution
-     allocates nothing. *)
   let dsts = t.tgt_dst and ports = t.tgt_port in
   for i = 0 to t.k - 1 do
     let pos = t.positions.(i) in
-    match t.eff.(i) with
+    let allowed =
+      t.mask ~round:t.round ~robot:i
+      && (not (fault.fh_enabled && fault.fh_down ~round:t.round ~robot:i))
+      && match reactive with None -> true | Some v -> v.(i)
+    in
+    if allowed then t.allowed_total <- t.allowed_total + 1;
+    match if allowed then moves.(i) else Stay with
     | Stay ->
         dsts.(i) <- -1;
         ports.(i) <- -1

@@ -17,10 +17,11 @@ module Mathx = Bfdn_util.Mathx
    is just (first_kid, nkids) — no per-node heap block.
 
    Shapes are driven by a per-node [role] decided at promise time from
-   the parent's role, so every family is exploration-order independent
-   (the "random" family derives child counts from hash(seed, id), again
-   order-independent; only its budget truncation tail can depend on
-   reveal order, and it is a deterministic function of the exploration). *)
+   the parent's role, so every family except "random" is
+   exploration-order independent. The "random" family is not: it derives
+   child counts from hash(seed, id), but ids follow reveal order, so the
+   hidden tree depends on the explorer (a deterministic function of the
+   exploration, not a fixed instance; see ROADMAP item 1). *)
 
 type family =
   | Path
@@ -53,8 +54,9 @@ type t = {
   acc : Tree_stats.Acc.acc; (* streaming stats over revealed nodes *)
 }
 
-(* SplitMix64-style finalizer over (seed, node id): a pure hash, so the
-   "random" family's draws do not depend on exploration order. *)
+(* SplitMix64-style finalizer over (seed, node id): a pure hash of the
+   id. Ids are allocated in reveal order, so the "random" family's draws
+   still depend on exploration order. *)
 let hash2 seed v =
   let z = seed lxor (v * 0x9E3779B97F4A7C1) in
   let z = (z lxor (z lsr 30)) * 0xBF58476D1CE4E5B in

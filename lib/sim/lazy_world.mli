@@ -10,13 +10,15 @@
 
     Child ids are allocated densely at the parent's reveal, before the
     child's own subtree shape is decided (the {!Adversary} discipline),
-    so the discovered tree never leaks hidden information. Shapes are
-    exploration-order independent: each promised node carries a family
-    role fixed at promise time; the ["random"] family draws child counts
-    from a pure hash of [(seed, node id)]. Node {e ids} follow reveal
-    order and therefore differ from the eager generator's DFS ids — the
-    instances are equal as port-numbered trees up to relabeling, with
-    identical summary statistics. *)
+    so the discovered tree never leaks hidden information. Every family
+    except ["random"] is exploration-order independent: each promised
+    node carries a family role fixed at promise time. Node {e ids} follow
+    reveal order and therefore differ from the eager generator's DFS ids
+    — those instances are equal as port-numbered trees up to relabeling,
+    with identical summary statistics. ["random"] is {e not} a fixed
+    hidden tree: it hashes [(seed, node id)] for child counts, and ids
+    follow reveal order, so its shape depends on the explorer and differs
+    from the eager ["random"] distribution (ROADMAP item 1). *)
 
 type t
 

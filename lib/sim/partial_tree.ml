@@ -35,12 +35,13 @@ type t = {
   mutable nports : int array; (* -1 = unexplored (replaces the bool array) *)
   mutable parents : int array;
   mutable parent_ports : int array;
-      (* port on the parent leading down to the node; -1 for the root and
-         for nodes whose parent edge was never resolved (fixtures only) *)
+      (* port on the parent leading down to the node; -1 for the root *)
   mutable depths : int array;
   mutable port_base : int array; (* start of the node's slice in port_pool *)
   mutable dangling_cnt : int array;
-  mutable subtree_dangling : int array;
+  mutable open_below : int array;
+      (* dangling ports plus resolved children whose subtree is still open;
+         0 iff the subtree is closed, which is final *)
   mutable in_bucket : int array; (* index inside its depth bucket; -1 *)
   mutable port_pool : int array;
   mutable pool_len : int;
@@ -74,7 +75,7 @@ let ensure_node t v =
     t.depths <- grow_int_array t.depths old cap (-1);
     t.port_base <- grow_int_array t.port_base old cap (-1);
     t.dangling_cnt <- grow_int_array t.dangling_cnt old cap 0;
-    t.subtree_dangling <- grow_int_array t.subtree_dangling old cap 0;
+    t.open_below <- grow_int_array t.open_below old cap 0;
     t.in_bucket <- grow_int_array t.in_bucket old cap (-1);
     t.cap <- cap
   end
@@ -168,7 +169,7 @@ let is_open t v = is_explored t v && t.dangling_cnt.(v) > 0
 let is_closed t v = is_explored t v && t.dangling_cnt.(v) = 0
 let subtree_open t v =
   check_explored t v "Partial_tree.subtree_open";
-  t.subtree_dangling.(v) > 0
+  t.open_below.(v) > 0
 
 let max_depth_index t = Array.length t.open_at - 1
 
@@ -281,13 +282,15 @@ let remove_open t v =
         t.in_bucket.(v) <- -1
   end
 
-let bump_path t v delta =
-  let u = ref v in
-  let continue = ref true in
-  while !continue do
-    t.subtree_dangling.(!u) <- t.subtree_dangling.(!u) + delta;
-    if !u = t.root then continue := false else u := t.parents.(!u)
-  done
+(* [v]'s subtree just closed: charge its parent, and every ancestor whose
+   counter this empties in turn. A closed subtree never reopens, so each
+   node is visited here at most once over a whole exploration. *)
+let rec close_subtree t v =
+  if v <> t.root then begin
+    let p = t.parents.(v) in
+    t.open_below.(p) <- t.open_below.(p) - 1;
+    if t.open_below.(p) = 0 then close_subtree t p
+  end
 
 let check_invariants t =
   let fail msg = invalid_arg ("Partial_tree.check_invariants: " ^ msg) in
@@ -302,14 +305,6 @@ let check_invariants t =
     done;
     !cnt
   in
-  let pool_has v x =
-    let base = t.port_base.(v) in
-    let found = ref false in
-    for p = 0 to t.nports.(v) - 1 do
-      if t.port_pool.(base + p) = x then found := true
-    done;
-    !found
-  in
   for v = 0 to n - 1 do
     if t.nports.(v) >= 0 then begin
       let cnt = count_dangling v in
@@ -322,18 +317,12 @@ let check_invariants t =
         expected_sub.(!u) <- expected_sub.(!u) + cnt;
         if !u = t.root then continue := false else u := t.parents.(!u)
       done;
-      (* Parent-port cache: when set, the parent's port must lead back. *)
+      (* Parent-port cache: the parent's port must lead back. *)
       if v <> t.root then begin
         let pp = t.parent_ports.(v) in
         let pr = t.parents.(v) in
-        if pp >= 0 then begin
-          if
-            pp >= t.nports.(pr)
-            || t.port_pool.(t.port_base.(pr) + pp) <> v
-          then fail "parent_port cache points to the wrong port"
-        end
-        else if pool_has pr v then
-          fail "parent_port cache missing for a resolved child"
+        if pp < 0 || pp >= t.nports.(pr) || t.port_pool.(t.port_base.(pr) + pp) <> v
+        then fail "parent_port cache points to the wrong port"
       end
       else if t.parent_ports.(v) <> -1 then fail "root has a parent_port";
       (* Open-node index: in the bucket iff open, at the recorded slot. *)
@@ -363,9 +352,16 @@ let check_invariants t =
           done)
     t.open_at;
   if !expected_total <> t.total_dangling then fail "total_dangling mismatch";
+  (* The open-subtree counter: dangling ports plus children whose subtree
+     still holds a dangling edge (a resolved child not yet revealed counts
+     as open). *)
   for v = 0 to n - 1 do
-    if t.nports.(v) >= 0 && expected_sub.(v) <> t.subtree_dangling.(v) then
-      fail "subtree_dangling mismatch"
+    if t.nports.(v) >= 0 then begin
+      let want = ref t.dangling_cnt.(v) in
+      iter_explored_children t v (fun _ c ->
+          if t.nports.(c) < 0 || expected_sub.(c) > 0 then incr want);
+      if !want <> t.open_below.(v) then fail "open_below mismatch"
+    end
   done;
   (match min_open_depth t with
   | None -> if t.total_dangling <> 0 then fail "min_open_depth = None too early"
@@ -398,7 +394,7 @@ module Internal = struct
       depths = Array.make cap (-1);
       port_base = Array.make cap (-1);
       dangling_cnt = Array.make cap 0;
-      subtree_dangling = Array.make cap 0;
+      open_below = Array.make cap 0;
       in_bucket = Array.make cap (-1);
       port_pool = Array.make pool_cap enc_dangling;
       pool_len = 0;
@@ -419,7 +415,9 @@ module Internal = struct
     | Some p ->
         if not (is_explored t p) then
           invalid_arg "Partial_tree.reveal: parent must be explored";
-        t.parents.(v) <- p;
+        let pp = t.parent_ports.(v) in
+        if t.parents.(v) <> p || pp < 0 || t.port_pool.(t.port_base.(p) + pp) <> v then
+          invalid_arg "Partial_tree.reveal: the parent's port was not resolved";
         t.depths.(v) <- t.depths.(p) + 1);
     let base = pool_alloc t num_ports in
     for p = 0 to num_ports - 1 do
@@ -433,12 +431,13 @@ module Internal = struct
     t.nports.(v) <- num_ports;
     let cnt = num_ports - if v = t.root then 0 else 1 in
     t.dangling_cnt.(v) <- cnt;
+    t.open_below.(v) <- cnt;
     t.num_explored <- t.num_explored + 1;
     if cnt > 0 then begin
       t.total_dangling <- t.total_dangling + cnt;
-      bump_path t v cnt;
       add_open t v
     end
+    else close_subtree t v
 
   let resolve_dangling t v p c =
     check_explored t v "Partial_tree.resolve_dangling";
@@ -454,6 +453,6 @@ module Internal = struct
     t.parent_ports.(c) <- p;
     t.dangling_cnt.(v) <- t.dangling_cnt.(v) - 1;
     t.total_dangling <- t.total_dangling - 1;
-    bump_path t v (-1);
+    (* [open_below] stays: the port it counted is now an open child. *)
     if t.dangling_cnt.(v) = 0 then remove_open t v
 end

@@ -82,8 +82,7 @@ val parent_id : t -> node -> node
 
 val parent_port : t -> node -> int
 (** The port {e on the parent} that leads down to the node, cached when the
-    node's parent edge was resolved; [-1] for the root (and for fixture
-    nodes revealed without {!Internal.resolve_dangling}). O(1). *)
+    node's parent edge was resolved; [-1] for the root. O(1). *)
 
 val depth_of : t -> node -> int
 (** Distance to the root (known online: nodes are reached along discovered
@@ -99,7 +98,8 @@ val is_closed : t -> node -> bool
 val subtree_open : t -> node -> bool
 (** Whether the discovered subtree below the node (inclusive) still contains
     a dangling edge — i.e. whether [T(v)] is possibly not fully explored.
-    O(1): maintained incrementally. *)
+    O(1) query, amortized O(1) upkeep: a per-node count of dangling ports
+    plus children with an open subtree; each subtree closes once. *)
 
 val min_open_depth : t -> int option
 (** Minimum depth of an open node, [None] when exploration is complete. *)
@@ -147,8 +147,8 @@ val id_bound : t -> int
 
 val check_invariants : t -> unit
 (** Exhaustive O(n·D) re-verification of the incremental bookkeeping
-    (dangling counters, open-node buckets and their back-indices, the
-    parent-port cache). For tests.
+    (dangling counters, the open-subtree counters, open-node buckets and
+    their back-indices, the parent-port cache). For tests.
     @raise Invalid_argument on a broken invariant. *)
 
 (** Mutators, reserved to {!Env}: the simulator is the only component that
@@ -162,7 +162,9 @@ module Internal : sig
   val reveal : t -> node -> parent:node option -> num_ports:int -> unit
   (** Mark a node explored, with its full port count; all child ports start
       dangling. [parent = None] only for the root. Idempotence is an error:
-      the caller must reveal each node exactly once. *)
+      the caller must reveal each node exactly once.
+      @raise Invalid_argument when a non-root node is revealed before
+      {!resolve_dangling} recorded the parent's port leading to it. *)
 
   val resolve_dangling : t -> node -> int -> node -> unit
   (** [resolve_dangling t v p c] records that the dangling port [p] of [v]

@@ -377,6 +377,23 @@ let test_deterministic_runs () =
   checki "same rounds" r1.rounds r2.rounds;
   checki "same moves" r1.moves r2.moves
 
+(* Complexity guard: a lazy path (depth 10^5 - 1, one robot) and a lazy
+   star (10^5 - 1 ports at the root, 4096 robots) each explore in well
+   under a second when a round costs O(k + events). O(depth) view upkeep
+   per reveal, or an O(k^2) scan of the ports already picked at one node,
+   would make this test take the better part of a minute. The exact
+   counts pin the runs; there is no timing assertion. *)
+let test_linear_time_rounds () =
+  List.iter
+    (fun (fam, k, want_rounds, want_events) ->
+      let lw = Bfdn_sim.Lazy_world.make ~family:fam ~n:100_000 ~depth_hint:1 ~seed:0 in
+      let env = Env.of_world (Bfdn_sim.Lazy_world.world lw) ~k in
+      let r = Runner.run (Bfdn_algo.algo (Bfdn_algo.make env)) env in
+      checkb (fam ^ " explored and home") true (r.explored && r.at_root);
+      checki (fam ^ " rounds") want_rounds r.rounds;
+      checki (fam ^ " edge events") want_events r.edge_events)
+    [ ("path", 1, 199_998, 199_998); ("star", 4096, 50, 199_998) ]
+
 let suite =
   let tc name f = Alcotest.test_case name `Quick f in
   let qc t = QCheck_alcotest.to_alcotest t in
@@ -407,4 +424,6 @@ let suite =
       tc "intermittent reactive veto completes" test_reactive_blocker_intermittent_completes;
       tc "reactive blocker arity" test_reactive_blocker_arity_checked;
       tc "deterministic" test_deterministic_runs;
+      tc "linear-time rounds on a deep path and a crowded star"
+        test_linear_time_rounds;
     ] )

@@ -2,7 +2,7 @@
    implementation is driven through the same randomized reveal/resolve
    traces as the real structure, and every observable — port states,
    parents, depths, ports_from_root, min_open_depth, sorted open-node
-   buckets — must agree at every step. This is what licenses the
+   buckets, subtree_open — must agree at every step. This is what licenses the
    swap-remove bucket and parent-port-cache internals: any bookkeeping bug
    diverges from the reference within a few steps. *)
 
@@ -89,9 +89,49 @@ module Ref_tree = struct
     List.filter (fun v -> is_open t v && depth t v = d) (explored t)
 
   let max_depth t = List.fold_left (fun acc v -> max acc (depth t v)) 0 (explored t)
+
+  (* Explored nodes whose subtree holds a dangling edge: every open node
+     and all its ancestors. One parent table per call keeps this cheap
+     enough to run after every step of a deep sequence. *)
+  let open_subtrees t =
+    let parent = Hashtbl.create 64 and np = Hashtbl.create 64 in
+    List.iter
+      (fun (v, n, p) ->
+        Hashtbl.replace np v n;
+        Option.iter (Hashtbl.replace parent v) p)
+      t.revealed;
+    let resolved = Hashtbl.create 64 in
+    List.iter (fun (v, p, _) -> Hashtbl.replace resolved (v, p) ()) t.resolved;
+    let marked = Hashtbl.create 64 in
+    let rec mark v =
+      if not (Hashtbl.mem marked v) then begin
+        Hashtbl.replace marked v ();
+        Option.iter mark (Hashtbl.find_opt parent v)
+      end
+    in
+    Hashtbl.iter
+      (fun v n ->
+        let first = if v = t.root then 0 else 1 in
+        let dangling = ref false in
+        for p = first to n - 1 do
+          if not (Hashtbl.mem resolved (v, p)) then dangling := true
+        done;
+        if !dangling then mark v)
+      np;
+    marked
 end
 
 (* ---- step-by-step comparison ---- *)
+
+let compare_subtree_open pt rt =
+  let marked = Ref_tree.open_subtrees rt in
+  List.iter
+    (fun (v, _, _) ->
+      checkb
+        (Printf.sprintf "subtree_open %d" v)
+        (Hashtbl.mem marked v)
+        (Partial_tree.subtree_open pt v))
+    rt.Ref_tree.revealed
 
 let compare_states pt rt =
   Partial_tree.check_invariants pt;
@@ -119,6 +159,7 @@ let compare_states pt rt =
         (Partial_tree.ports_from_root pt v);
       checkb "is_open" (Ref_tree.is_open rt v) (Partial_tree.is_open pt v))
     expl;
+  compare_subtree_open pt rt;
   checkb "min_open_depth" true
     (Ref_tree.min_open_depth rt = Partial_tree.min_open_depth pt);
   for d = 0 to Ref_tree.max_depth rt + 1 do
@@ -205,6 +246,72 @@ let test_chain_heavy () =
   done;
   compare_states pt rt
 
+(* ---- deep shaped sequences ---- *)
+
+(* Explore a fixed hidden tree by resolving one frontier port per step,
+   depth-first ([lifo]: the newest port first, so subtrees close one at a
+   time and a closing tooth charges the spine) or in random order. Deep
+   shapes make every close cascade over many ancestors; subtree_open and
+   the invariants are checked after every step, the full comparison
+   (whose reference is cubic in depth) every [full_every] steps, if at
+   all. *)
+let run_shape ~tree ~lifo ~seed ~full_every =
+  let rng = Rng.create seed in
+  let module Tree = Bfdn_trees.Tree in
+  let root = Tree.root tree in
+  let pt = Partial_tree.Internal.create ~hidden_n:(Tree.n tree) ~root in
+  let rt = Ref_tree.create ~root in
+  let np = Tree.degree tree root in
+  Partial_tree.Internal.reveal pt root ~parent:None ~num_ports:np;
+  Ref_tree.reveal rt root ~parent:None ~num_ports:np;
+  let frontier = ref (List.init np (fun p -> (root, p))) in
+  let steps = ref 0 in
+  while !frontier <> [] do
+    let fr = !frontier in
+    let i = if lifo then 0 else Rng.int rng (List.length fr) in
+    let v, p = List.nth fr i in
+    let c = Tree.neighbor_via_port tree v p in
+    let np = Tree.degree tree c in
+    Partial_tree.Internal.resolve_dangling pt v p c;
+    Partial_tree.Internal.reveal pt c ~parent:(Some v) ~num_ports:np;
+    Ref_tree.resolve rt v p c;
+    Ref_tree.reveal rt c ~parent:(Some v) ~num_ports:np;
+    frontier :=
+      List.init (np - 1) (fun q -> (c, q + 1)) @ List.filteri (fun j _ -> j <> i) fr;
+    incr steps;
+    Partial_tree.check_invariants pt;
+    compare_subtree_open pt rt;
+    if !steps mod full_every = 0 then compare_states pt rt
+  done;
+  compare_subtree_open pt rt;
+  checkb "root subtree closed" false (Partial_tree.subtree_open pt root)
+
+let test_deep_path () =
+  run_shape ~tree:(Bfdn_trees.Tree_gen.path 400) ~lifo:true ~seed:5 ~full_every:max_int
+
+let test_deep_comb () =
+  let tree = Bfdn_trees.Tree_gen.comb ~spine:12 ~tooth_len:20 in
+  run_shape ~tree ~lifo:true ~seed:6 ~full_every:50;
+  run_shape ~tree ~lifo:false ~seed:7 ~full_every:50
+
+(* The counter only supports the Env call order: a non-root reveal must
+   follow the resolution of its parent's port. *)
+let test_reveal_needs_resolve () =
+  let pt = Partial_tree.Internal.create ~hidden_n:4 ~root:0 in
+  Partial_tree.Internal.reveal pt 0 ~parent:None ~num_ports:2;
+  let rejects f =
+    match f () with () -> false | exception Invalid_argument _ -> true
+  in
+  checkb "unresolved reveal rejected" true
+    (rejects (fun () -> Partial_tree.Internal.reveal pt 1 ~parent:(Some 0) ~num_ports:1));
+  Partial_tree.Internal.resolve_dangling pt 0 0 1;
+  checkb "reveal under another parent rejected" true
+    (rejects (fun () -> Partial_tree.Internal.reveal pt 2 ~parent:(Some 0) ~num_ports:1));
+  Partial_tree.Internal.reveal pt 1 ~parent:(Some 0) ~num_ports:1;
+  Partial_tree.check_invariants pt;
+  checkb "leaf closed" false (Partial_tree.subtree_open pt 1);
+  checkb "root still open" true (Partial_tree.subtree_open pt 0)
+
 let suite =
   let tc name f = Alcotest.test_case name `Quick f in
   ( "diff",
@@ -212,4 +319,7 @@ let suite =
       tc "random traces, checked every step" test_small_every_step;
       tc "random traces, sampled checks" test_medium_sampled;
       tc "chain-heavy trace" test_chain_heavy;
+      tc "deep path, subtree_open every step" test_deep_path;
+      tc "deep comb, subtree_open every step" test_deep_comb;
+      tc "reveal requires a resolved port" test_reveal_needs_resolve;
     ] )
